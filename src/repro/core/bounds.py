@@ -17,33 +17,25 @@ Soundness adjustments vs. the printed lemmas (DESIGN.md §3.3):
 from __future__ import annotations
 
 from repro.graph.local import LocalGraph, h_index
+from repro.core.colorgroups import GroupCounter, groups_of
 from repro.core.order import colorful_dmin_per_vertex, colorful_peel
-
-ATTR_A = "a"
-ATTR_B = "b"
 
 #: Table-II bound configurations: ub_AD = min(ub_s, ub_a, ub_c, ub_ac,
 #: ub_eac); the rest add one advanced bound on top.
 COMBOS = ("s", "ad", "ad+deg", "ad+h", "ad+cd", "ad+ch", "ad+cp")
 
 
-def _fair_pair(x: int, y: int, delta: int) -> int:
-    """max total of a (≥0) pair capped at counts (x, y) with |diff| ≤ δ."""
+def fair_pair(x: int, y: int, delta: int) -> int:
+    """Lemma 6: max total of a pair capped at counts (x, y) with |diff| ≤ δ."""
     if abs(x - y) <= delta:
         return x + y
     return 2 * min(x, y) + delta
 
 
-def _color_groups(sub: LocalGraph) -> tuple[int, int, int]:
-    """(c_a, c_b, c_m): colors exclusive to a, to b, and mixed."""
+def _groups(sub: LocalGraph) -> GroupCounter:
+    """(c_a, c_b, c_m) over all of G': colors exclusive to a, to b, mixed."""
     sub.ensure_colors()
-    attrs_by_color: dict[int, set[str]] = {}
-    for v in sub.adj:
-        attrs_by_color.setdefault(sub.color[v], set()).add(sub.attr[v])
-    c_a = sum(1 for s in attrs_by_color.values() if s == {ATTR_A})
-    c_b = sum(1 for s in attrs_by_color.values() if s == {ATTR_B})
-    c_m = sum(1 for s in attrs_by_color.values() if len(s) == 2)
-    return c_a, c_b, c_m
+    return groups_of(sub, sub.adj)
 
 
 # -- Lemma 5–9: the "advanced" group ub_AD -----------------------------
@@ -56,40 +48,45 @@ def ub_size(sub: LocalGraph) -> int:
 def ub_attr(sub: LocalGraph, delta: int) -> int:
     """Lemma 6: attribute counts with the δ balance cap."""
     na, nb = sub.attr_counts(sub.adj)
-    return _fair_pair(na, nb, delta)
+    return fair_pair(na, nb, delta)
 
 
 def ub_color(sub: LocalGraph) -> int:
     """Lemma 7: number of colors of a greedy coloring of G'."""
-    sub.ensure_colors()
-    return len(set(sub.color[v] for v in sub.adj))
+    gc = _groups(sub)
+    return gc.c_a + gc.c_b + gc.c_m
 
 
 def ub_attr_color(sub: LocalGraph, delta: int) -> int:
     """Lemma 8: per-attribute color counts with the δ balance cap."""
-    sub.ensure_colors()
-    cols_a = {sub.color[v] for v in sub.adj if sub.attr[v] == ATTR_A}
-    cols_b = {sub.color[v] for v in sub.adj if sub.attr[v] == ATTR_B}
-    return _fair_pair(len(cols_a), len(cols_b), delta)
+    gc = _groups(sub)
+    return fair_pair(gc.sup_a, gc.sup_b, delta)
 
 
 def ub_en_attr_color(sub: LocalGraph, delta: int) -> int:
     """Lemma 9 (corrected form): exclusive/mixed color-group bound."""
-    c_a, c_b, c_m = _color_groups(sub)
-    lo, hi = min(c_a, c_b), max(c_a, c_b)
-    if lo + c_m >= hi - delta:
-        return c_a + c_b + c_m
-    return 2 * (lo + c_m) + delta
+    return _en_attr_color(_groups(sub), delta)
+
+
+def _en_attr_color(gc: GroupCounter, delta: int) -> int:
+    lo, hi = min(gc.c_a, gc.c_b), max(gc.c_a, gc.c_b)
+    if lo + gc.c_m >= hi - delta:
+        return gc.c_a + gc.c_b + gc.c_m
+    return 2 * (lo + gc.c_m) + delta
 
 
 def ub_advanced(sub: LocalGraph, delta: int) -> int:
-    """ub_AD: min of the five cheap bounds (paper §VI-A grouping)."""
+    """ub_AD: min of the five cheap bounds (paper §VI-A grouping).
+
+    Lemmas 7–9 all read the same color groups, counted once here.
+    """
+    gc = _groups(sub)
     return min(
         ub_size(sub),
         ub_attr(sub, delta),
-        ub_color(sub),
-        ub_attr_color(sub, delta),
-        ub_en_attr_color(sub, delta),
+        gc.c_a + gc.c_b + gc.c_m,
+        fair_pair(gc.sup_a, gc.sup_b, delta),
+        _en_attr_color(gc, delta),
     )
 
 

@@ -27,10 +27,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.graph.local import LocalGraph
-from repro.core.bounds import compute_ub
+from repro.core.bounds import compute_ub, fair_pair
+from repro.core.colorgroups import ATTR_A
 from repro.core.order import cal_color_od
-
-ATTR_A = "a"
 
 
 @dataclass
@@ -78,11 +77,11 @@ def branch_search(
     ``node_prune`` is "attr" (attribute-aware feasibility + Lemma-6
     prunes at every node) or "basic" (size bound only — the MaxRFC
     baseline of Fig. 6). ``best_init`` seeds the incumbent (HeurRFC
-    integration); it must be a fair clique of ``lg``.
+    integration); it must be a fair clique of ``lg``, else ValueError.
     """
     t0 = time.perf_counter()
-    if best_init:
-        assert lg.is_fair_clique(best_init, k, delta), "best_init must be fair"
+    if best_init and not lg.is_fair_clique(best_init, k, delta):
+        raise ValueError("best_init must be a (k, δ)-fair clique of lg")
     st = _State(
         lg=lg,
         k=k,
@@ -144,12 +143,7 @@ def _rec(st: _State, R: list[int], na: int, nb: int, C: list[int]) -> None:
             return
         if na - avail_b > delta or nb - avail_a > delta:  # balance unfixable
             return
-        # Lemma 6 on the achievable attribute counts.
-        if abs(avail_a - avail_b) <= delta:
-            ub = avail_a + avail_b
-        else:
-            ub = 2 * min(avail_a, avail_b) + delta
-        if ub <= floor:
+        if fair_pair(avail_a, avail_b, delta) <= floor:  # Lemma 6
             return
     if st.deadline and st.nodes % 4096 == 0 and time.perf_counter() > st.deadline:
         st.timed_out = True

@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph.local import LocalGraph
+from repro.core.colorgroups import ATTR_A, ATTR_B
 from repro.core.order import colorful_dmin_per_vertex
-
-ATTR_A = "a"
-ATTR_B = "b"
 
 
 def _other(attr: str) -> str:

@@ -20,79 +20,18 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.core.colorgroups import (
+    GroupCounter,
+    enhanced_support_ok,
+    groups_of,
+    neighbor_groups,
+    thresholds,
+)
 from repro.graph.local import LocalGraph
-
-ATTR_A = "a"
-ATTR_B = "b"
-
-
-class _GroupCounter:
-    """Color groups of a neighbor multiset with O(1) attr-count updates.
-
-    Tracks, per color, how many contributing vertices have attribute a
-    and b, and maintains the derived exclusive/mixed group sizes
-    (c_a, c_b, c_m) used by Definitions 4 and 7.
-    """
-
-    __slots__ = ("counts", "c_a", "c_b", "c_m")
-
-    def __init__(self) -> None:
-        self.counts: dict[int, list[int]] = {}
-        self.c_a = self.c_b = self.c_m = 0
-
-    def _group(self, pair: list[int]) -> int:
-        """0 = absent, 1 = exclusive a, 2 = exclusive b, 3 = mixed."""
-        return (1 if pair[0] > 0 else 0) | (2 if pair[1] > 0 else 0)
-
-    def _apply(self, before: int, after: int) -> None:
-        for g, delta in ((before, -1), (after, +1)):
-            if g == 1:
-                self.c_a += delta
-            elif g == 2:
-                self.c_b += delta
-            elif g == 3:
-                self.c_m += delta
-
-    def add(self, color: int, attr: str) -> None:
-        pair = self.counts.setdefault(color, [0, 0])
-        before = self._group(pair)
-        pair[0 if attr == ATTR_A else 1] += 1
-        self._apply(before, self._group(pair))
-
-    def remove(self, color: int, attr: str) -> None:
-        pair = self.counts[color]
-        before = self._group(pair)
-        pair[0 if attr == ATTR_A else 1] -= 1
-        after = self._group(pair)
-        self._apply(before, after)
-        if after == 0:
-            del self.counts[color]
-
-    # Derived quantities -------------------------------------------------
-    @property
-    def sup_a(self) -> int:  # colorful support / degree on attribute a
-        return self.c_a + self.c_m
-
-    @property
-    def sup_b(self) -> int:
-        return self.c_b + self.c_m
-
-    @property
-    def ed(self) -> int:  # enhanced colorful degree (Def. 4)
-        return min(self.c_a + self.c_m, self.c_b + self.c_m,
-                   (self.c_a + self.c_b + self.c_m) // 2)
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
-
-
-def _thresholds(attr_u: str, attr_v: str, k: int) -> tuple[int, int]:
-    if attr_u == ATTR_A and attr_v == ATTR_A:
-        return k - 2, k
-    if attr_u == ATTR_B and attr_v == ATTR_B:
-        return k, k - 2
-    return k - 1, k - 1
 
 
 def local_sup_peel(
@@ -101,27 +40,20 @@ def local_sup_peel(
     """(En)ColorfulSup to the exact fixpoint — Algorithm 1 with a queue.
 
     Plain keeps an edge iff ``sup_a ≥ ka ∧ sup_b ≥ kb``; enhanced iff
-    ``max(0, ka−c_a) + max(0, kb−c_b) ≤ c_m`` (the Def.-7 greedy
-    assignment succeeds — provably equivalent, tested).
+    the Def.-7 test of ``repro.core.colorgroups`` passes.
     """
     lg.ensure_colors()
     adj = {v: set(s) for v, s in lg.adj.items()}
-    state: dict[tuple[int, int], _GroupCounter] = {}
-    for u in adj:
-        for v in adj[u]:
-            if u < v:
-                gc = _GroupCounter()
-                small, big = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
-                for w in adj[small]:
-                    if w in adj[big]:
-                        gc.add(lg.color[w], lg.attr[w])
-                state[(u, v)] = gc
+    state: dict[tuple[int, int], GroupCounter] = {
+        (u, v): groups_of(lg, adj[u] & adj[v])
+        for u in adj for v in adj[u] if u < v
+    }
 
     def violates(e: tuple[int, int]) -> bool:
         gc = state[e]
-        ka, kb = _thresholds(lg.attr[e[0]], lg.attr[e[1]], k)
+        ka, kb = thresholds(lg.attr[e[0]], lg.attr[e[1]], k)
         if enhanced:
-            return max(0, ka - gc.c_a) + max(0, kb - gc.c_b) > gc.c_m
+            return not enhanced_support_ok(gc.c_a, gc.c_b, gc.c_m, ka, kb)
         return gc.sup_a < ka or gc.sup_b < kb
 
     queue = deque(e for e in state if violates(e))
@@ -162,12 +94,7 @@ def local_vertex_peel(lg: LocalGraph, t: int, *, enhanced: bool) -> set[int]:
     if t <= 0:
         return set(lg.adj)
     lg.ensure_colors()
-    state: dict[int, _GroupCounter] = {}
-    for v, nbrs in lg.adj.items():
-        gc = _GroupCounter()
-        for u in nbrs:
-            gc.add(lg.color[u], lg.attr[u])
-        state[v] = gc
+    state = neighbor_groups(lg)
 
     def violates(v: int) -> bool:
         gc = state[v]

@@ -2,7 +2,7 @@
 
 ``max_rfc`` wires the pieces together:
 
-1. one distributed greedy coloring of G;
+1. one greedy coloring of G on the driver, shipped to Spark as (id, color);
 2. Spark reductions EnColorfulCore(k−1) → ColorfulSup(k) →
    EnColorfulSup(k) (Algorithm 2, lines 1–3);
 3. collect the (small) kernel to the driver as a ``LocalGraph``;

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 
+from repro.core.colorgroups import neighbor_groups
 from repro.graph.local import LocalGraph
 
 
@@ -22,23 +23,10 @@ def colorful_peel(lg: LocalGraph) -> tuple[list[int], dict[int, int], int]:
     Requires/creates a proper coloring on ``lg``.
     """
     lg.ensure_colors()
-    # Per-vertex multiset of neighbor (attr, color) pairs and distinct
-    # color counts per attribute.
-    cnt: dict[int, dict[tuple[str, int], int]] = {}
-    d: dict[int, dict[str, int]] = {}
-    for v, nbrs in lg.adj.items():
-        c: dict[tuple[str, int], int] = {}
-        for u in nbrs:
-            key = (lg.attr[u], lg.color[u])
-            c[key] = c.get(key, 0) + 1
-        cnt[v] = c
-        d[v] = {
-            "a": len({col for (at, col) in c if at == "a"}),
-            "b": len({col for (at, col) in c if at == "b"}),
-        }
+    groups = neighbor_groups(lg)
 
     def dmin(v: int) -> int:
-        return min(d[v]["a"], d[v]["b"])
+        return min(groups[v].sup_a, groups[v].sup_b)
 
     heap = [(dmin(v), v) for v in lg.adj]
     heapq.heapify(heap)
@@ -54,14 +42,12 @@ def colorful_peel(lg: LocalGraph) -> tuple[list[int], dict[int, int], int]:
         running = max(running, val)
         ccore[v] = running
         order.append(v)
-        key = (lg.attr[v], lg.color[v])
         for u in lg.adj[v]:
             if u not in alive:
                 continue
-            cnt[u][key] -= 1
-            if cnt[u][key] == 0:
-                del cnt[u][key]
-                d[u][key[0]] -= 1
+            before = dmin(u)
+            groups[u].remove(lg.color[v], lg.attr[v])
+            if dmin(u) != before:
                 heapq.heappush(heap, (dmin(u), u))
     degeneracy = max(ccore.values(), default=0)
     return order, ccore, degeneracy
@@ -73,18 +59,7 @@ def cal_color_od(lg: LocalGraph) -> list[int]:
     return order
 
 
-def colorful_degeneracy(lg: LocalGraph) -> int:
-    """Colorful degeneracy (Def. 9): max colorful core number."""
-    _, _, deg = colorful_peel(lg)
-    return deg
-
-
 def colorful_dmin_per_vertex(lg: LocalGraph) -> dict[int, int]:
     """D_min(v) = min(D_a, D_b) for every vertex (Def. 2 / Def. 10)."""
     lg.ensure_colors()
-    out: dict[int, int] = {}
-    for v, nbrs in lg.adj.items():
-        ca = {lg.color[u] for u in nbrs if lg.attr[u] == "a"}
-        cb = {lg.color[u] for u in nbrs if lg.attr[u] == "b"}
-        out[v] = min(len(ca), len(cb))
-    return out
+    return {v: min(gc.sup_a, gc.sup_b) for v, gc in neighbor_groups(lg).items()}

@@ -41,13 +41,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.builder import AttributedGraph, drop_isolated, induced_subgraph
-from repro.graph.coloring import color_graph, color_graph_local
-from repro.core.supports import (
-    edge_color_stats,
-    edge_thresholds,
-    enhanced_support_cols,
-    vertex_color_stats,
-)
+from repro.graph.coloring import color_graph_local
+from repro.core.colorgroups import enhanced_support_ok_col, threshold_cols
+from repro.core.supports import edge_color_stats, vertex_color_stats
 
 
 def _vertex_peel(
@@ -118,19 +114,18 @@ def colorful_sup_reduce(
 
     Keeps an edge (u,v) iff its supports meet the attribute-pair
     thresholds: (a,a) → sup_a ≥ k−2 ∧ sup_b ≥ k; (b,b) mirrored;
-    (a,b) → both ≥ k−1. The enhanced variant uses the greedy
-    mixed-color assignment of Def. 7 instead of raw colorful supports.
+    (a,b) → both ≥ k−1. The enhanced variant uses the Def.-7 test on the
+    color groups instead of raw colorful supports.
     Vertices that lose all incident edges are dropped at the end.
     """
     cur = g.checkpointed()
-    ka, kb = edge_thresholds(k)
+    ka, kb = threshold_cols(k)
+    if enhanced:
+        ok = enhanced_support_ok_col()
+    else:
+        ok = (F.col("sup_a") >= F.col("ka")) & (F.col("sup_b") >= F.col("kb"))
     for _ in range(max_rounds if max_rounds is not None else 10_000):
         stats = edge_color_stats(cur, colors).withColumn("ka", ka).withColumn("kb", kb)
-        if enhanced:
-            esa, esb = enhanced_support_cols(k)
-            ok = (esa >= F.col("ka")) & (esb >= F.col("kb"))
-        else:
-            ok = (F.col("sup_a") >= F.col("ka")) & (F.col("sup_b") >= F.col("kb"))
         flagged = stats.select("src", "dst", ok.alias("ok")).localCheckpoint(eager=True)
         if flagged.where(~F.col("ok")).isEmpty():
             return drop_isolated(cur)
@@ -159,17 +154,14 @@ def reduce_pipeline(
     *,
     stages: tuple[str, ...] = ("encore", "sup", "ensup"),
     colors: DataFrame | None = None,
-    coloring: str = "driver",
     max_rounds: int | None = None,
     local_threshold: int = 0,
 ) -> ReductionReport:
     """Algorithm 2, lines 1–3: EnColorfulCore → ColorfulSup → EnColorfulSup.
 
-    One proper coloring is computed up front and reused (a proper
-    coloring remains proper on subgraphs — DESIGN.md §3.3.4). The
-    coloring runs on the driver by default (the greedy algorithm is
-    sequential; see ``color_graph_local``); pass ``coloring="spark"``
-    for the distributed Jones–Plassmann rounds.
+    One proper coloring is computed up front on the driver (the greedy
+    algorithm is sequential; see ``color_graph_local``) and reused (a
+    proper coloring remains proper on subgraphs — DESIGN.md §3.3.4).
 
     ``local_threshold``: once the remaining graph has at most this many
     edges, the tail of the peel is handed to the driver-side
@@ -187,8 +179,7 @@ def reduce_pipeline(
     report_stages: list[tuple[str, int, int, float]] = []
     t0 = time.perf_counter()
     if colors is None:
-        fn = color_graph if coloring == "spark" else color_graph_local
-        colors = fn(g).localCheckpoint(eager=True)
+        colors = color_graph_local(g).localCheckpoint(eager=True)
     n, m = g.counts()
     report_stages.append(("original", n, m, time.perf_counter() - t0))
     cur = g

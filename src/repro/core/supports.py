@@ -4,17 +4,11 @@ Definitions from the paper:
 
 - **Colorful degree** ``D_x(u)`` (Def. 2): #distinct colors among u's
   neighbors with attribute x.
-- **Enhanced colorful degree** ``ED(u)`` (Def. 4): the best achievable
-  min(#colors assigned to a, #colors assigned to b) after assigning each
-  neighbor color class to exactly one attribute. With ``c_a``/``c_b``
-  colors exclusive to a/b and ``c_m`` mixed colors, the optimum is
-  ``min(c_a+c_m, c_b+c_m, ⌊(c_a+c_b+c_m)/2⌋)``.
 - **Colorful support** ``sup_x(u,v)`` (Def. 6): #distinct colors among
   the *common* neighbors of u,v with attribute x.
-- **Enhanced colorful support** (Def. 7): common-neighbor colors are
-  partitioned into exclusive-a (``c_a``), exclusive-b (``c_b``) and
-  mixed (``c_m``) groups; mixed colors are greedily assigned to the
-  attribute that still needs them.
+- The exclusive-a / exclusive-b / mixed color groups ``c_a``/``c_b``/
+  ``c_m`` behind ED (Def. 4) and the enhanced colorful support (Def. 7);
+  ``repro.core.colorgroups`` defines them and the tests on them.
 
 Everything is one or two Catalyst aggregations; the per-(entity, color)
 ``has_a``/``has_b`` flags are shared between the plain and enhanced
@@ -25,9 +19,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.colorgroups import ATTR_A, ATTR_B, enhanced_degree_col
 from repro.graph.builder import AttributedGraph, symmetrize
-
-_I = lambda c: F.col(c).cast("int")  # noqa: E731
 
 
 def _vc(g: AttributedGraph, colors: DataFrame) -> DataFrame:
@@ -42,8 +35,8 @@ def _group_agg(df: DataFrame, keys: list[str]) -> DataFrame:
     (exclusive-a / exclusive-b / mixed color-group sizes).
     """
     per_color = df.groupBy(*keys, "color").agg(
-        F.max((F.col("attr") == "a").cast("int")).alias("has_a"),
-        F.max((F.col("attr") == "b").cast("int")).alias("has_b"),
+        F.max((F.col("attr") == ATTR_A).cast("int")).alias("has_a"),
+        F.max((F.col("attr") == ATTR_B).cast("int")).alias("has_b"),
     )
     return per_color.groupBy(*keys).agg(
         F.sum("has_a").alias("d_a"),
@@ -67,18 +60,10 @@ def vertex_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
         .join(F.broadcast(vc.withColumnRenamed("id", "dst")), "dst")
         .select(F.col("src").alias("id"), "attr", "color")
     )
-    stats = _group_agg(nbrs, ["id"])
-    ed = F.least(
-        F.col("c_a") + F.col("c_m"),
-        F.col("c_b") + F.col("c_m"),
-        F.floor((F.col("c_a") + F.col("c_b") + F.col("c_m")) / 2).cast("long"),
-    )
-    return stats.withColumn("ed", ed)
+    return _group_agg(nbrs, ["id"]).withColumn("ed", enhanced_degree_col())
 
 
-def edge_color_stats(
-    g: AttributedGraph, colors: DataFrame, *, hint_small: bool = True
-) -> DataFrame:
+def edge_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
     """Per-edge common-neighbor color stats.
 
     Returns every canonical edge with columns
@@ -88,18 +73,15 @@ def edge_color_stats(
     neighbors get all-zero stats.
 
     The common-neighbor relation is the standard triangle join:
-    edge (u,v) × adjacency (u,w) × adjacency (v,w). ``hint_small``
-    (default) broadcast-hints the adjacency sides — right for the
-    latency-bound local mode this reproduction runs in, where the
-    adjacency relation is tens of thousands of rows and every shuffle
-    costs a scheduler round-trip; pass False at cluster scale, where
-    the O(m) adjacency must shuffle.
+    edge (u,v) × adjacency (u,w) × adjacency (v,w). The adjacency sides
+    are broadcast-hinted — right for the latency-bound local mode this
+    reproduction runs in, where the adjacency relation is tens of
+    thousands of rows and every shuffle costs a scheduler round-trip.
     """
-    maybe_b = F.broadcast if hint_small else (lambda df: df)
     vc = _vc(g, colors)
     sym = symmetrize(g.edges)
-    s1 = maybe_b(sym.select(F.col("src").alias("u"), F.col("dst").alias("w")))
-    s2 = maybe_b(sym.select(F.col("src").alias("v"), F.col("dst").alias("w")))
+    s1 = F.broadcast(sym.select(F.col("src").alias("u"), F.col("dst").alias("w")))
+    s2 = F.broadcast(sym.select(F.col("src").alias("v"), F.col("dst").alias("w")))
     e = g.edges.select(F.col("src").alias("u"), F.col("dst").alias("v"))
     common = e.join(s1, "u").join(s2, ["v", "w"])
     wstats = common.join(
@@ -125,33 +107,3 @@ def edge_color_stats(
     )
     return out
 
-
-def enhanced_support_cols(k: int):
-    """Column expressions (esup_a, esup_b) for the enhanced colorful support.
-
-    Implements the paper's greedy mixed-color assignment for an edge with
-    groups (c_a, c_b, c_m) and attribute-pair thresholds (ka, kb): assign
-    γ = min(max(0, ka−c_a), c_m) mixed colors to attribute a, the rest to
-    b's demand. Requires columns c_a, c_b, c_m, ka, kb.
-    """
-    need_a = F.greatest(F.lit(0), F.col("ka") - F.col("c_a"))
-    gamma = F.least(need_a, F.col("c_m"))
-    esup_a = F.when(F.col("c_a") < F.col("ka"), F.col("c_a") + gamma).otherwise(F.col("c_a"))
-    rem = F.col("c_m") - gamma
-    need_b = F.greatest(F.lit(0), F.col("kb") - F.col("c_b"))
-    esup_b = F.when(F.col("c_b") < F.col("kb"), F.col("c_b") + F.least(need_b, rem)).otherwise(
-        F.col("c_b")
-    )
-    return esup_a, esup_b
-
-
-def edge_thresholds(k: int):
-    """(ka, kb) column expressions per Lemma 3/4 from (attr_u, attr_v).
-
-    both a → (k−2, k); both b → (k, k−2); mixed → (k−1, k−1).
-    """
-    both_a = (F.col("attr_u") == "a") & (F.col("attr_v") == "a")
-    both_b = (F.col("attr_u") == "b") & (F.col("attr_v") == "b")
-    ka = F.when(both_a, F.lit(k - 2)).when(both_b, F.lit(k)).otherwise(F.lit(k - 1))
-    kb = F.when(both_a, F.lit(k)).when(both_b, F.lit(k - 2)).otherwise(F.lit(k - 1))
-    return ka, kb

@@ -6,9 +6,7 @@
 - ``edges``: canonical undirected edges ``(src: long, dst: long)`` with
   ``src < dst``, deduplicated, no self loops.
 
-All operations are pure DataFrame transformations (Catalyst-planned); the
-iterative ones (`k_core`) batch-peel with ``localCheckpoint()`` per round
-to truncate lineage, the standard Pregel-on-DataFrames encoding.
+All operations are pure DataFrame transformations (Catalyst-planned).
 """
 from __future__ import annotations
 
@@ -29,9 +27,6 @@ class AttributedGraph:
     def counts(self) -> tuple[int, int]:
         """(n, m) — triggers two small actions."""
         return self.vertices.count(), self.edges.count()
-
-    def cache(self) -> "AttributedGraph":
-        return AttributedGraph(self.vertices.cache(), self.edges.cache())
 
     def checkpointed(self) -> "AttributedGraph":
         return AttributedGraph(
@@ -104,22 +99,3 @@ def drop_isolated(g: AttributedGraph) -> AttributedGraph:
     ids = F.broadcast(symmetrize(g.edges).select(F.col("src").alias("id")).distinct())
     return AttributedGraph(g.vertices.join(ids, "id", "inner"), g.edges)
 
-
-def k_core(g: AttributedGraph, k: int, *, max_iter: int = 10_000) -> AttributedGraph:
-    """Distributed k-core via batch degree peeling.
-
-    Each round removes *every* vertex of degree < k; this converges to
-    the same unique maximal subgraph as one-at-a-time peeling (the
-    constraint is monotone under vertex deletion).
-    """
-    if k <= 0:
-        return g
-    cur = g.checkpointed()
-    for _ in range(max_iter):
-        deg = degrees(cur)
-        bad = deg.where(F.col("degree") < k).select("id")
-        if bad.isEmpty():
-            return cur
-        keep = deg.where(F.col("degree") >= k).select("id")
-        cur = induced_subgraph(cur, keep).checkpointed()
-    raise RuntimeError(f"k_core did not converge within {max_iter} rounds")

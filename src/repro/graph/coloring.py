@@ -1,92 +1,24 @@
-"""Greedy graph coloring — distributed (Spark) and sequential reference.
+"""Greedy graph coloring, computed on the driver.
 
 The paper's reductions and bounds all rest on a *degree-based greedy
 coloring* (its line 1 of Algorithm 1, citing [30]): process vertices in
 (degree desc, id asc) order, give each the smallest color unused by its
-already-colored neighbors.
-
-The distributed version is Jones–Plassmann with that total order as the
-priority: a vertex is *ready* in a round when it has no uncolored
-higher-priority neighbor, and then takes the mex of its higher-priority
-neighbors' colors. Because lower-priority neighbors of an uncolored
-vertex can never be colored first, the colored neighbors of a ready
-vertex are exactly its higher-priority neighbors — so the distributed
-result equals the sequential greedy coloring *exactly* (tested).
+already-colored neighbors. The algorithm is sequential, so the pipeline
+collects the edge list, colors on the driver and ships (id, color) back
+to Spark (DESIGN.md §3.3.6).
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.graph.builder import AttributedGraph, degrees, symmetrize
-
-
-def color_graph(g: AttributedGraph, *, max_iter: int = 2000) -> DataFrame:
-    """Color every vertex; returns (id, color) with color in 0..C-1.
-
-    Pregel-style rounds over DataFrames with ``localCheckpoint`` per
-    round. Raises if the priority dependency depth exceeds ``max_iter``
-    (cannot happen for max_iter ≥ n).
-    """
-    spark = g.vertices.sparkSession
-    sym = symmetrize(g.edges).localCheckpoint(eager=True)
-    un = degrees(g).localCheckpoint(eager=True)  # uncolored: (id, degree)
-    colored = spark.createDataFrame([], schema="id long, color int")
-
-    for _ in range(max_iter):
-        if un.isEmpty():
-            return colored
-        # Edges between two still-uncolored vertices, with both priorities.
-        u1 = F.broadcast(un.select(F.col("id").alias("src"), F.col("degree").alias("sdeg")))
-        u2 = F.broadcast(un.select(F.col("id").alias("dst"), F.col("degree").alias("ddeg")))
-        both_un = sym.join(u1, "src").join(u2, "dst")
-        blocked = (
-            both_un.where(
-                (F.col("ddeg") > F.col("sdeg"))
-                | ((F.col("ddeg") == F.col("sdeg")) & (F.col("dst") < F.col("src")))
-            )
-            .select(F.col("src").alias("id"))
-            .distinct()
-        )
-        ready = un.join(F.broadcast(blocked), "id", "left_anti")
-        # Colors already used in each ready vertex's neighborhood.
-        used = (
-            sym.withColumnRenamed("src", "id")
-            .join(F.broadcast(ready.select("id")), "id")
-            .join(F.broadcast(colored.select(F.col("id").alias("dst"), "color")), "dst")
-            .groupBy("id")
-            .agg(F.collect_set("color").alias("used"))
-        )
-        mex = F.array_min(
-            F.array_except(
-                F.sequence(F.lit(0), F.size("used")), F.col("used")
-            )
-        )
-        newly = (
-            ready.join(F.broadcast(used), "id", "left")
-            .select(
-                "id",
-                F.when(F.col("used").isNull(), F.lit(0))
-                .otherwise(mex)
-                .cast("int")
-                .alias("color"),
-            )
-        )
-        colored = colored.union(newly).localCheckpoint(eager=True)
-        un = un.join(F.broadcast(newly.select("id")), "id", "left_anti").localCheckpoint(eager=True)
-    raise RuntimeError(f"color_graph did not converge within {max_iter} rounds")
+from repro.graph.builder import AttributedGraph
 
 
 def color_graph_local(g: AttributedGraph) -> DataFrame:
-    """Sequential degree-greedy coloring, computed on the driver.
+    """Degree-greedy coloring of ``g`` as an (id, color) DataFrame.
 
-    The paper's coloring (Algorithm 1 line 1) is inherently sequential;
-    its C++ implementation runs it single-threaded too. On round-trip-
-    dominated local Spark the Pregel version above pays one scheduler
-    round per priority level, so the default pipeline path collects the
-    edge list, colors in O(|E|), and ships (id, color) back as a
-    DataFrame. ``color_graph`` (distributed, provably identical output)
-    remains for cluster-scale graphs and is tested for exact equality.
+    Colors in O(|E|) on the driver; the paper's C++ implementation runs
+    it single-threaded too.
     """
     import pandas as pd
 
@@ -105,7 +37,7 @@ def color_graph_local(g: AttributedGraph) -> DataFrame:
 
 
 def sequential_greedy(adj: dict[int, set[int]]) -> dict[int, int]:
-    """Reference sequential greedy coloring in (degree desc, id asc) order."""
+    """Sequential greedy coloring in (degree desc, id asc) order."""
     order = sorted(adj, key=lambda v: (-len(adj[v]), v))
     color: dict[int, int] = {}
     for v in order:

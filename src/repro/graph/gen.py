@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-ATTR_A = "a"
-ATTR_B = "b"
+from repro.core.colorgroups import ATTR_A, ATTR_B
 
 
 def _edges_frame(pairs: set[tuple[int, int]]) -> pd.DataFrame:

@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
+from repro.core.colorgroups import ATTR_A
 from repro.graph.coloring import sequential_greedy
-
-ATTR_A = "a"
-ATTR_B = "b"
 
 
 @dataclass

@@ -61,10 +61,10 @@ def test_bound_orderings(seed):
 
 
 def test_fair_pair_formula():
-    assert bounds._fair_pair(4, 4, 0) == 8
-    assert bounds._fair_pair(6, 3, 1) == 7
-    assert bounds._fair_pair(6, 3, 3) == 9
-    assert bounds._fair_pair(0, 9, 2) == 2
+    assert bounds.fair_pair(4, 4, 0) == 8
+    assert bounds.fair_pair(6, 3, 1) == 7
+    assert bounds.fair_pair(6, 3, 3) == 9
+    assert bounds.fair_pair(0, 9, 2) == 2
 
 
 def test_ub_eac_counterexample_from_design():

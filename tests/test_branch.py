@@ -91,6 +91,16 @@ def test_no_fair_clique_returns_empty():
     assert res.clique == []
 
 
+def test_unfair_best_init_raises():
+    """The incumbent seed is checked with a real error, not an assert
+    that ``python -O`` would strip."""
+    v = pd.DataFrame({"id": range(4), "attr": ["a", "a", "a", "b"]})
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    with pytest.raises(ValueError):
+        branch_search(lg, 1, 0, best_init=[0, 1, 3])
+
+
 def test_time_limit_reports_incomplete():
     lg = _lg(60, 0.6, seed=2)
     res = branch_search(lg, 2, 2, ub_combo="s", node_prune="basic",

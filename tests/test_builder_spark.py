@@ -10,10 +10,8 @@ from repro.graph.builder import (
     drop_isolated,
     from_pandas,
     induced_subgraph,
-    k_core,
     symmetrize,
 )
-from repro.graph.local import LocalGraph
 
 
 @pytest.fixture(scope="module")
@@ -69,19 +67,6 @@ def test_induced_subgraph_matches_pandas(small_graph):
     expect = e[e["src"].isin(set(keep)) & e["dst"].isin(set(keep))]
     assert set(map(tuple, ep.values)) == set(map(tuple, expect.values))
     assert sub.vertices.count() == 40
-
-
-def test_k_core_matches_local(small_graph):
-    v, e, g = small_graph
-    lg = LocalGraph.from_pandas(v, e)
-    for k in (1, 2, 3):
-        got = set(k_core(g, k).vertices.toPandas()["id"])
-        assert got == set(lg.k_core(k).adj), f"k={k}"
-
-
-def test_k_core_zero_is_identity(small_graph):
-    _, _, g = small_graph
-    assert k_core(g, 0) is g
 
 
 def test_drop_isolated(spark):

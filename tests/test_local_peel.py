@@ -4,8 +4,8 @@ import pytest
 from repro.graph import gen
 from repro.graph.local import LocalGraph
 from repro.core import reference as ref
+from repro.core.colorgroups import GroupCounter
 from repro.core.local_peel import (
-    _GroupCounter,
     apply_local_stage,
     local_sup_peel,
     local_vertex_peel,
@@ -20,7 +20,7 @@ def _lg(n=30, p=0.35, seed=0):
 
 
 def test_group_counter_add_remove():
-    gc = _GroupCounter()
+    gc = GroupCounter()
     gc.add(1, "a")
     gc.add(1, "a")
     gc.add(2, "b")
@@ -36,7 +36,7 @@ def test_group_counter_add_remove():
 
 
 def test_group_counter_derived():
-    gc = _GroupCounter()
+    gc = GroupCounter()
     for c, a in [(0, "a"), (1, "a"), (2, "b"), (3, "a"), (3, "b")]:
         gc.add(c, a)
     assert gc.sup_a == 3 and gc.sup_b == 2

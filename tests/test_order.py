@@ -6,7 +6,6 @@ from repro.graph import gen
 from repro.graph.local import LocalGraph
 from repro.core.order import (
     cal_color_od,
-    colorful_degeneracy,
     colorful_dmin_per_vertex,
     colorful_peel,
 )
@@ -60,14 +59,6 @@ def test_ccore_numbers_against_direct_definition(seed):
     for t in range(0, cdeg + 2):
         members = colorful_core_members(t)
         assert members == {v for v in lg.adj if ccore[v] >= t}, f"t={t}"
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_colorful_degeneracy_is_max_ccore(seed):
-    lg = _lg(seed=seed)
-    _, ccore, cdeg = colorful_peel(lg)
-    assert cdeg == max(ccore.values())
-    assert colorful_degeneracy(lg) == cdeg
 
 
 def test_peel_on_balanced_clique():

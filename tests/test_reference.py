@@ -9,6 +9,7 @@ import pytest
 from repro.graph import gen
 from repro.graph.local import LocalGraph
 from repro.core import reference as ref
+from repro.core.colorgroups import threshold_cols, thresholds
 from repro.core.baseline import brute_force_size
 
 
@@ -86,7 +87,7 @@ def test_reference_peels_preserve_optimum(k, delta):
         assert brute_force_size(sub, k, delta) == opt
 
 
-def test_thresholds_mapping():
+def test_thresholds_mapping(spark):
     v = pd.DataFrame({"id": [0, 1, 2], "attr": ["a", "a", "b"]})
     e = pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 2]})
     lg = LocalGraph.from_pandas(v, e)
@@ -95,3 +96,12 @@ def test_thresholds_mapping():
     v2 = v.assign(attr=["b", "b", "a"])
     lg2 = LocalGraph.from_pandas(v2, e)
     assert ref.thresholds(lg2, 0, 1, 5) == (5, 3)  # b-b
+    # The python and Spark forms agree with it on all four endpoint pairs.
+    want = {("a", "a"): (3, 5), ("a", "b"): (4, 4), ("b", "a"): (4, 4), ("b", "b"): (5, 3)}
+    df = spark.createDataFrame(pd.DataFrame(list(want), columns=["attr_u", "attr_v"]))
+    ka, kb = threshold_cols(5)
+    got = df.select("attr_u", "attr_v", ka.alias("ka"), kb.alias("kb")).toPandas()
+    assert len(got) == 4
+    for _, r in got.iterrows():
+        pair = (r["attr_u"], r["attr_v"])
+        assert thresholds(*pair, 5) == (r["ka"], r["kb"]) == want[pair]

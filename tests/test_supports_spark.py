@@ -9,6 +9,7 @@ from repro.graph.builder import from_pandas
 from repro.graph.coloring import color_graph_local
 from repro.graph.local import LocalGraph
 from repro.core import reference as ref
+from repro.core.colorgroups import enhanced_support_ok, enhanced_support_ok_col
 from repro.core.supports import edge_color_stats, vertex_color_stats
 
 SYM_SQL = """
@@ -119,22 +120,25 @@ def test_endpoint_attrs_correct(colored_graph):
         assert row["attr_v"] == lg.attr[int(row["dst"])]
 
 
-def test_enhanced_support_cols_match_reference(spark, colored_graph):
-    """Spark Def-7 greedy assignment == python reference, all threshold
-    pairs, over an exhaustive (c_a, c_b, c_m) grid."""
-    from repro.core.supports import enhanced_support_cols
-
+def test_enhanced_support_cols_match_reference(spark):
+    """The closed-form Def-7 test, Spark column and python function, ==
+    feasibility of the reference's greedy assignment over an exhaustive
+    (c_a, c_b, c_m) grid. Thresholds include ka, kb ∈ {−1, 0}, which
+    k = 1 and k = 2 produce."""
+    pairs = [(1, 3), (3, 1), (2, 2), (0, 2), (-1, 1), (1, -1)]
+    pairs += [(ka, kb) for ka in (-1, 0) for kb in (-1, 0)]
     rows = [
         {"c_a": ca, "c_b": cb, "c_m": cm, "ka": ka, "kb": kb}
         for ca in range(4)
         for cb in range(4)
         for cm in range(4)
-        for (ka, kb) in [(1, 3), (3, 1), (2, 2), (0, 2)]
+        for (ka, kb) in pairs
     ]
     df = spark.createDataFrame(pd.DataFrame(rows))
-    esa, esb = enhanced_support_cols(k=3)  # k unused by the expressions
     got = df.select("c_a", "c_b", "c_m", "ka", "kb",
-                    esa.alias("esa"), esb.alias("esb")).toPandas()
+                    enhanced_support_ok_col().alias("ok")).toPandas()
     for _, r in got.iterrows():
-        want = ref.enhanced_sups(r["c_a"], r["c_b"], r["c_m"], r["ka"], r["kb"])
-        assert (r["esa"], r["esb"]) == want, dict(r)
+        c_a, c_b, c_m, ka, kb = (int(r[c]) for c in ("c_a", "c_b", "c_m", "ka", "kb"))
+        esa, esb = ref.enhanced_sups(c_a, c_b, c_m, ka, kb)
+        want = esa >= ka and esb >= kb
+        assert r["ok"] == want == enhanced_support_ok(c_a, c_b, c_m, ka, kb), dict(r)
